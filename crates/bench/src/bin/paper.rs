@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Absolute numbers depend on the cost model and scale; the *shapes* are
-//! the reproduction target (see EXPERIMENTS.md).
+//! the reproduction target.
 
 use std::collections::HashMap;
 

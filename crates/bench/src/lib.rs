@@ -14,8 +14,9 @@
 //!    measure the *overhead with node failures* and the *reconstruction
 //!    overhead*.
 //!
-//! The `paper` binary drives this module; see `EXPERIMENTS.md` for the
-//! recorded outputs and the paper-vs-measured comparison.
+//! The `paper` binary drives this module; its usage (artifacts, scales
+//! and options) is documented at the top of `src/bin/paper.rs` and printed
+//! on a bad argument.
 
 pub mod drills;
 pub mod figures;

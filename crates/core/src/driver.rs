@@ -552,7 +552,12 @@ pub struct RunReport {
     pub converged: bool,
     /// Logical iterations to convergence (the paper's `C` on reference runs).
     pub iterations: usize,
-    /// Loop trips executed including redone iterations after rollback.
+    /// The work the solver loop executed, redone iterations after a
+    /// rollback included, in the variant's unit: classic and pipelined
+    /// count loop trips of one iteration each, failed trips included;
+    /// s-step counts committed CG iterations summed over its blocks, and a
+    /// block that ends in a failure adds 0 (see
+    /// [`NodeOutcome::total_loop_trips`](crate::solver::NodeOutcome)).
     pub total_loop_trips: usize,
     /// Final recurrence relative residual.
     pub final_relres: f64,

@@ -53,8 +53,8 @@ impl PipelinedAux {
 /// *not* part of [`NodeState`]: every column is fully overwritten by the
 /// matrix-powers sweep at the start of each outer step, so the basis is
 /// per-block scratch — a failed node's replacement rebuilds it from
-/// definitions and `wipe` never needs to touch it. The solver holds it as
-/// a local `Box<SStepAux>` allocated once before the outer loop.
+/// definitions and `wipe` never needs to touch it. The s-step recurrence
+/// owns one, allocated once before the outer loop.
 #[derive(Debug, Clone)]
 pub(crate) struct SStepAux {
     /// Basis columns V = [ρ₀…ρ_s, ζ₀…ζ_{s−1}]: ρ₀ = p, ρ_{k+1} = M⁻¹Aρ_k,
@@ -120,24 +120,6 @@ impl SStepAux {
     }
 }
 
-/// The pipelined part of an IMCR checkpoint: the extra recurrence vectors
-/// and replicated scalars that must roll back bitwise alongside
-/// `[x; r; z; p]`.
-#[derive(Debug, Clone)]
-pub(crate) struct PipelinedCkptAux {
-    /// q ≡ s = Ap — recurrence state for the pipelined variant (plain
-    /// scratch for Classic, which is why the classic blob omits it).
-    pub q: Vec<f64>,
-    pub w: Vec<f64>,
-    pub h: Vec<f64>,
-    pub g: Vec<f64>,
-    /// γ = r·z at the checkpoint (the pipelined `rz`).
-    pub gamma: f64,
-    /// The recurrence pᵀAp at the checkpoint. Restored directly — it is
-    /// *not* recomputable bitwise from the vectors.
-    pub pap: f64,
-}
-
 /// The starred local copies of ESRP (paper §3): the state at the end of the
 /// last completed storage stage, duplicated locally by every node so that
 /// survivors can roll back without communication.
@@ -153,29 +135,13 @@ pub(crate) struct StarCopies {
     pub beta_star: f64,
 }
 
-/// A node's own IMCR rollback copy (kept locally; the same data is also sent
-/// to the buddy ranks).
-#[derive(Debug, Clone)]
-pub(crate) struct OwnCheckpoint {
-    pub iter: usize,
-    pub x: Vec<f64>,
-    pub r: Vec<f64>,
-    pub z: Vec<f64>,
-    pub p: Vec<f64>,
-    pub beta_prev: f64,
-    /// Pipelined-variant extras (None for Classic checkpoints).
-    pub aux: Option<PipelinedCkptAux>,
-}
-
-/// A checkpoint this node holds **for another rank** (IMCR buddy storage):
-/// the owner's dynamic vectors and scalars concatenated
-/// ([`NodeState::checkpoint_blob_into`] defines the layout per variant).
+/// An IMCR checkpoint blob and the iteration it belongs to
+/// ([`NodeState::checkpoint_blob_into`] defines the layout per variant):
+/// a node's own rollback copy, or one it holds **for another rank**
+/// (buddy storage).
 #[derive(Debug, Clone)]
 pub(crate) struct HeldCheckpoint {
     pub iter: usize,
-    /// Classic: `4·nloc(owner) + 1` values (x, r, z, p chunks then β).
-    /// Pipelined: `8·nloc(owner) + 3` values (x, r, z, p, q, w, h, g
-    /// chunks then β, γ, pᵀAp).
     pub blob: Vec<f64>,
 }
 
@@ -206,8 +172,8 @@ pub(crate) struct NodeState {
     pub star: Option<StarCopies>,
     /// Redundant search-direction copies this node holds for others.
     pub queue: RedundancyQueue,
-    /// IMCR: own rollback copy.
-    pub own_ckpt: Option<OwnCheckpoint>,
+    /// IMCR: own rollback copy (the same blob the buddies hold).
+    pub own_ckpt: Option<HeldCheckpoint>,
     /// IMCR: checkpoints held for other ranks, keyed by owner rank.
     pub held_ckpts: HashMap<usize, HeldCheckpoint>,
     /// Pipelined-variant auxiliary state (None for Classic runs).
@@ -257,13 +223,8 @@ impl NodeState {
         self.queue.clear();
         self.own_ckpt = None;
         self.held_ckpts.clear();
-        if let Some(aux) = self.aux.as_mut() {
-            aux.w.fill(0.0);
-            aux.h.fill(0.0);
-            aux.g.fill(0.0);
-            aux.m.fill(0.0);
-            aux.n.fill(0.0);
-            aux.pap = 0.0;
+        if let Some(aux) = self.aux.as_deref_mut() {
+            *aux = PipelinedAux::new(self.x.len());
         }
     }
 
@@ -298,56 +259,37 @@ impl NodeState {
         self.beta_prev = star.beta_star;
     }
 
-    /// Records the node's own IMCR checkpoint at iteration `iter`. For the
-    /// pipelined variant the checkpoint also carries `q(=s)`, `w`, `h`,
-    /// `g`, γ, and the recurrence pᵀAp, so a rollback restores the full
-    /// recurrence bitwise.
+    /// Records the node's own IMCR checkpoint at iteration `iter`: the blob
+    /// the buddies receive, so for the pipelined variant it also carries
+    /// `q(=s)`, `w`, `h`, `g`, γ, and the recurrence pᵀAp, and a rollback
+    /// restores the full recurrence bitwise.
     pub fn take_own_checkpoint(&mut self, iter: usize) {
-        let aux = self.aux.as_ref().map(|a| PipelinedCkptAux {
-            q: self.q.clone(),
-            w: a.w.clone(),
-            h: a.h.clone(),
-            g: a.g.clone(),
-            gamma: self.rz,
-            pap: a.pap,
-        });
-        self.own_ckpt = Some(OwnCheckpoint {
-            iter,
-            x: self.x.clone(),
-            r: self.r.clone(),
-            z: self.z.clone(),
-            p: self.p.clone(),
-            beta_prev: self.beta_prev,
-            aux,
-        });
+        let mut blob = self.own_ckpt.take().map(|c| c.blob).unwrap_or_default();
+        self.checkpoint_blob_into(&mut blob);
+        self.own_ckpt = Some(HeldCheckpoint { iter, blob });
     }
 
     /// Rolls this node back to its own IMCR checkpoint (survivor side).
     ///
     /// # Panics
-    /// Panics if no checkpoint exists, or if the checkpoint's variant does
-    /// not match the state's (protocol bug: a run never changes variant).
+    /// Panics if no checkpoint exists.
     pub fn rollback_to_checkpoint(&mut self) {
-        let c = self
+        let own = self
             .own_ckpt
-            .as_ref()
+            .take()
             .expect("rollback requires a checkpoint");
-        self.x.copy_from_slice(&c.x);
-        self.r.copy_from_slice(&c.r);
-        self.z.copy_from_slice(&c.z);
-        self.p.copy_from_slice(&c.p);
-        self.beta_prev = c.beta_prev;
-        match (self.aux.as_mut(), c.aux.as_ref()) {
-            (None, None) => {}
-            (Some(aux), Some(ca)) => {
-                self.q.copy_from_slice(&ca.q);
-                aux.w.copy_from_slice(&ca.w);
-                aux.h.copy_from_slice(&ca.h);
-                aux.g.copy_from_slice(&ca.g);
-                self.rz = ca.gamma;
-                aux.pap = ca.pap;
-            }
-            _ => panic!("checkpoint variant mismatch"),
+        self.restore_from_blob(&own.blob);
+        self.own_ckpt = Some(own);
+    }
+
+    /// The checkpoint blob length of a node owning `nloc` indices, with or
+    /// without the pipelined auxiliary state — the one statement of the
+    /// layout sizes [`NodeState::checkpoint_blob_into`] writes.
+    pub fn checkpoint_blob_len(nloc: usize, pipelined: bool) -> usize {
+        if pipelined {
+            8 * nloc + 3
+        } else {
+            4 * nloc + 1
         }
     }
 
@@ -357,30 +299,18 @@ impl NodeState {
     /// Classic layout: `[x; r; z; p; β]` (`4·nloc + 1` values). Pipelined
     /// layout: `[x; r; z; p; q; w; h; g; β; γ; pᵀAp]` (`8·nloc + 3`).
     pub fn checkpoint_blob_into(&self, blob: &mut Vec<f64>) {
-        let nloc = self.x.len();
         blob.clear();
-        match self.aux.as_ref() {
-            None => {
-                blob.reserve(4 * nloc + 1);
-                blob.extend_from_slice(&self.x);
-                blob.extend_from_slice(&self.r);
-                blob.extend_from_slice(&self.z);
-                blob.extend_from_slice(&self.p);
-                blob.push(self.beta_prev);
-            }
+        blob.reserve(Self::checkpoint_blob_len(self.x.len(), self.aux.is_some()));
+        for v in [&self.x, &self.r, &self.z, &self.p] {
+            blob.extend_from_slice(v);
+        }
+        match self.aux.as_deref() {
+            None => blob.push(self.beta_prev),
             Some(aux) => {
-                blob.reserve(8 * nloc + 3);
-                blob.extend_from_slice(&self.x);
-                blob.extend_from_slice(&self.r);
-                blob.extend_from_slice(&self.z);
-                blob.extend_from_slice(&self.p);
-                blob.extend_from_slice(&self.q);
-                blob.extend_from_slice(&aux.w);
-                blob.extend_from_slice(&aux.h);
-                blob.extend_from_slice(&aux.g);
-                blob.push(self.beta_prev);
-                blob.push(self.rz);
-                blob.push(aux.pap);
+                for v in [&self.q, &aux.w, &aux.h, &aux.g] {
+                    blob.extend_from_slice(v);
+                }
+                blob.extend_from_slice(&[self.beta_prev, self.rz, aux.pap]);
             }
         }
     }
@@ -392,28 +322,38 @@ impl NodeState {
     /// Panics if the blob length does not match the variant's layout.
     pub fn restore_from_blob(&mut self, blob: &[f64]) {
         let nloc = self.x.len();
-        match self.aux.as_mut() {
-            None => {
-                assert_eq!(blob.len(), 4 * nloc + 1, "checkpoint blob length mismatch");
-                self.x.copy_from_slice(&blob[0..nloc]);
-                self.r.copy_from_slice(&blob[nloc..2 * nloc]);
-                self.z.copy_from_slice(&blob[2 * nloc..3 * nloc]);
-                self.p.copy_from_slice(&blob[3 * nloc..4 * nloc]);
-                self.beta_prev = blob[4 * nloc];
-            }
+        assert_eq!(
+            blob.len(),
+            Self::checkpoint_blob_len(nloc, self.aux.is_some()),
+            "checkpoint blob length mismatch"
+        );
+        let NodeState {
+            x,
+            r,
+            z,
+            p,
+            q,
+            rz,
+            beta_prev,
+            aux,
+            ..
+        } = self;
+        let mut at = 0;
+        let mut restore = |v: &mut [f64]| {
+            v.copy_from_slice(&blob[at..at + nloc]);
+            at += nloc;
+        };
+        for v in [x, r, z, p] {
+            restore(v);
+        }
+        match aux.as_deref_mut() {
+            None => *beta_prev = blob[4 * nloc],
             Some(aux) => {
-                assert_eq!(blob.len(), 8 * nloc + 3, "checkpoint blob length mismatch");
-                self.x.copy_from_slice(&blob[0..nloc]);
-                self.r.copy_from_slice(&blob[nloc..2 * nloc]);
-                self.z.copy_from_slice(&blob[2 * nloc..3 * nloc]);
-                self.p.copy_from_slice(&blob[3 * nloc..4 * nloc]);
-                self.q.copy_from_slice(&blob[4 * nloc..5 * nloc]);
-                aux.w.copy_from_slice(&blob[5 * nloc..6 * nloc]);
-                aux.h.copy_from_slice(&blob[6 * nloc..7 * nloc]);
-                aux.g.copy_from_slice(&blob[7 * nloc..8 * nloc]);
-                self.beta_prev = blob[8 * nloc];
-                self.rz = blob[8 * nloc + 1];
-                aux.pap = blob[8 * nloc + 2];
+                for v in [q, &mut aux.w, &mut aux.h, &mut aux.g] {
+                    restore(v);
+                }
+                (*beta_prev, *rz, aux.pap) =
+                    (blob[8 * nloc], blob[8 * nloc + 1], blob[8 * nloc + 2]);
             }
         }
     }

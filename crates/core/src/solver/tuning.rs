@@ -93,7 +93,10 @@ impl IntervalSchedule {
     }
 
     /// True when iteration `j` is the first iteration of an ESRP storage
-    /// stage (β** is stashed after β is computed).
+    /// stage — the iteration that computes β**. The solver reads β** back
+    /// as `β_prev` at the stage's second iteration, so only the schedule
+    /// tests ask for this predicate.
+    #[cfg(test)]
     pub(crate) fn storage_first(&self, j: usize) -> bool {
         let Strategy::Esrp { t } = self.strategy else {
             return false;
