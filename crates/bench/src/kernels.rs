@@ -4,8 +4,10 @@
 //!
 //! The workload is the paper's: 7-point Poisson-3D matrices (the SpMV that
 //! dominates PCG iterations) at n ∈ {1e4, 1e5, 1e6}, and dot products of
-//! the same lengths. Throughput is reported in GFLOP/s (2 flops per stored
-//! entry for SpMV, 2 per element for dot).
+//! the same lengths, plus a single-thread block Jacobi apply (the paper's
+//! preconditioner, blocks of at most 10 rows). Throughput is reported in
+//! GFLOP/s (2 flops per stored entry for SpMV, 2 per element for dot, the
+//! cost model's 2·n_b² per block for the block Jacobi apply).
 //!
 //! A second sweep quantifies **dispatch overhead**: the same parallel
 //! kernels timed under the persistent worker pool
@@ -37,19 +39,20 @@ use esrcg_cluster::{validate_trace_json, CostModel, MetricsRollup, Phase, TraceC
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::{PcgVariant, SpmvMode};
 use esrcg_core::Strategy;
+use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 use esrcg_sparse::backend::{PARALLEL_CUTOFF, SPMV_PARALLEL_NNZ_CUTOFF};
 use esrcg_sparse::gen::{audikw_like, poisson2d, poisson3d, stencil27};
 use esrcg_sparse::pool::{self, DispatchMode};
-use esrcg_sparse::{CsrMatrix, FormatMatrix, KernelBackend, SpmvFormat};
+use esrcg_sparse::{CsrMatrix, FormatMatrix, KernelBackend, Partition, SpmvFormat};
 
 /// One measured cell.
 #[derive(Debug, Clone)]
 pub struct KernelMeasurement {
-    /// `"spmv"` or `"dot"`.
+    /// `"spmv"`, `"dot"` or `"bj_apply"` (block Jacobi apply).
     pub kernel: &'static str,
     /// Problem size (rows or vector length).
     pub n: usize,
-    /// Stored entries (SpMV only; `n` for dot).
+    /// Stored entries (SpMV only; `n` for dot and bj_apply).
     pub nnz: usize,
     /// Worker threads of the backend.
     pub threads: usize,
@@ -418,6 +421,23 @@ pub fn run_kernel_bench(sizes: &[usize], thread_counts: &[usize], samples: usize
         for &t in thread_counts {
             cell(KernelBackend::parallel(t), t);
         }
+
+        // The paper's preconditioner (blocks of at most 10 rows) applied on
+        // one rank, single-threaded; flops are its cost-model count.
+        let bj =
+            BlockJacobiPrecond::new(&a, &Partition::balanced(n, 1), 10).expect("Poisson-3D is SPD");
+        let bj_secs = time_kernel(2, samples, || {
+            bj.apply_into(&x, &mut out);
+        });
+        results.push(KernelMeasurement {
+            kernel: "bj_apply",
+            n,
+            nnz: n,
+            threads: 1,
+            backend: "seq".to_string(),
+            secs: bj_secs,
+            gflops: bj.apply_flops(0..n) as f64 / bj_secs / 1e9,
+        });
     }
     let small: Vec<usize> = sizes.iter().copied().filter(|&s| s <= 100_000).collect();
     let overhead = run_overhead_sweep(&small, thread_counts, samples);
@@ -1125,7 +1145,10 @@ mod tests {
     fn tiny_report_renders_json() {
         let _guard = DISPATCH_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let report = run_kernel_bench(&[1000], &[2], 3);
-        assert!(report.results.len() == 4, "seq + par(2), spmv + dot");
+        assert!(
+            report.results.len() == 5,
+            "seq + par(2), spmv + dot, plus the single-thread bj_apply"
+        );
         // n = 1000 is below the parallel cutoff, so the overhead sweep only
         // carries the bare dispatch row.
         assert_eq!(report.overhead.len(), 1);
@@ -1133,6 +1156,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"esrcg-bench-kernels-v7\""));
         assert!(json.contains("\"kernel\": \"spmv\""));
+        assert!(json.contains("\"kernel\": \"bj_apply\""));
         assert!(json.contains("spmv_speedup_2t_n1000"));
         assert!(json.contains("overhead_spawn_over_pooled_dispatch_2t_n0"));
         assert!(report.speedup("spmv", report.results[0].n, 2).is_some());

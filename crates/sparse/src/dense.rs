@@ -144,6 +144,13 @@ impl Cholesky {
         self.n
     }
 
+    /// The lower-triangular factor `L`, row-major `n × n` (upper part
+    /// zero).
+    #[inline]
+    pub fn factor(&self) -> &[f64] {
+        &self.l
+    }
+
     /// Solves `A x = b`, returning `x`.
     ///
     /// # Panics
@@ -214,7 +221,7 @@ impl Cholesky {
     /// Flop count of one solve (forward + backward substitution), for the
     /// cost model.
     pub fn solve_flops(&self) -> u64 {
-        // ~2·n²: n² multiply-adds per triangular solve.
+        // ~2·n²: n²/2 multiply-adds (n² flops) per triangular solve.
         2 * (self.n as u64) * (self.n as u64)
     }
 }
